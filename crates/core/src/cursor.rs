@@ -230,4 +230,28 @@ mod tests {
         assert_eq!(&buf, b"NEW");
         now.commit();
     }
+
+    #[test]
+    fn cursor_ops_free_their_handles() {
+        let (_d, env, store) = setup();
+        let txn = env.begin();
+        let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
+        let baseline = Arc::strong_count(&env);
+        let mut cur = LoCursor::new(id, OpenMode::ReadWrite, UserId::DBA);
+        let mut buf = [0u8; 8];
+        for i in 0..250u64 {
+            cur.write(&store, Some(&txn), &i.to_le_bytes()).unwrap();
+            cur.read_at(&store, Some(&txn), i * 8, &mut buf).unwrap();
+            assert_eq!(buf, i.to_le_bytes());
+            cur.size(&store, Some(&txn)).unwrap();
+            cur.seek(&store, Some(&txn), SeekFrom::End(0)).unwrap();
+        }
+        // Every op opened and closed a handle whose backend holds an
+        // `Arc<StorageEnv>`; a leaked backend would leave the count up.
+        assert_eq!(Arc::strong_count(&env), baseline);
+        let ts = txn.commit();
+        let tt = LoCursor::as_of(id, ts);
+        tt.read_at(&store, None, 0, &mut buf).unwrap();
+        assert_eq!(Arc::strong_count(&env), baseline);
+    }
 }

@@ -43,20 +43,25 @@ pub trait LoBackend: Send {
 /// An open large object descriptor.
 ///
 /// Size metadata is persisted through the (non-transactional) catalog at
-/// flush time. If a transaction extends an object, flushes, and then
-/// aborts, the recorded size keeps the larger value; the unreachable tail
-/// reads back as zeros (sparse semantics), never as another transaction's
-/// data.
+/// flush time, as one logged catalog change stamped with the writer's
+/// XID; it becomes durable with the next commit's log flush. If a
+/// transaction extends an object, flushes, and then aborts, the recorded
+/// size keeps the larger value, but snapshot opens see the stamp belongs
+/// to a transaction they cannot see and recompute the size from visible
+/// data — so only committed bytes show, never another transaction's.
 pub struct LoHandle<'a> {
     id: LoId,
     backend: Box<dyn LoBackend + 'a>,
     pos: u64,
     mode: OpenMode,
+    /// Set by [`Self::close`], which already flushed; `Drop` then skips
+    /// its best-effort flush.
+    closed: bool,
 }
 
 impl<'a> LoHandle<'a> {
     pub(crate) fn new(id: LoId, backend: Box<dyn LoBackend + 'a>, mode: OpenMode) -> Self {
-        Self { id, backend, pos: 0, mode }
+        Self { id, backend, pos: 0, mode, closed: false }
     }
 
     /// The object this handle addresses.
@@ -134,11 +139,8 @@ impl<'a> LoHandle<'a> {
     /// Flush and consume the handle. Equivalent to `flush` + drop, but
     /// surfaces errors.
     pub fn close(mut self) -> Result<()> {
-        let r = self.backend.flush();
-        // Avoid the best-effort flush in Drop repeating the work.
-        self.pos = 0;
-        std::mem::forget(self);
-        r
+        self.closed = true;
+        self.backend.flush()
     }
 
     /// Read the entire object from the start (convenience).
@@ -161,7 +163,7 @@ impl<'a> LoHandle<'a> {
 impl Drop for LoHandle<'_> {
     fn drop(&mut self) {
         // Best-effort flush; use `close()` to observe failures.
-        if self.backend.flush().is_err() {
+        if !self.closed && self.backend.flush().is_err() {
             obs::counter!("lo.drop_flush.errors").add(1);
         }
     }

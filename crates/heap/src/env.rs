@@ -80,7 +80,7 @@ pub struct StorageEnv {
     pool: Arc<BufferPool>,
     wal: Arc<Wal>,
     txns: Arc<TxnManager>,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     base_dir: PathBuf,
     disk: SmgrId,
     mem: SmgrId,
@@ -151,21 +151,25 @@ fn redo_page_image(
     }
 }
 
-/// One checkpoint pass: bound the horizon by the log end *before* scanning
-/// (a concurrent commit may append images below a later-read end), sync
-/// data files so the horizon never overtakes a write still in the page
-/// cache, prune recycle pins for WORM relations whose blocks are all
-/// burned (the platter file is then their durable home and replay is
-/// unneeded), then let the WAL clamp by the surviving pins and recycle
-/// segments.
+/// One checkpoint pass: snapshot the catalog if it changed (the horizon
+/// may not pass the snapshot's log position, or replay would skip
+/// catalog records the file lacks), bound the horizon by the log end
+/// *before* scanning (a concurrent commit may append images below a
+/// later-read end), sync data files so the horizon never overtakes a
+/// write still in the page cache, prune recycle pins for WORM relations
+/// whose blocks are all burned (the platter file is then their durable
+/// home and replay is unneeded), then let the WAL clamp by the surviving
+/// pins and recycle segments.
 fn checkpoint_once(
     pool: &BufferPool,
     wal: &Wal,
+    catalog: &Catalog,
     disk: &DiskSmgr,
     worm_id: SmgrId,
     worm: &WormSmgr,
 ) -> std::io::Result<()> {
-    let cap = wal.end_lsn();
+    // The snapshot's position is a log end read before the dirty scan.
+    let cap = catalog.checkpoint().map_err(std::io::Error::other)?;
     let horizon = pool.dirty_horizon().map_or(cap, |h| h.min(cap));
     disk.sync_all_open().map_err(std::io::Error::other)?;
     wal.prune_pins(worm_id.0 as u32, |rel| worm.has_staged(rel));
@@ -185,6 +189,7 @@ impl Checkpointer {
     fn spawn(
         pool: Arc<BufferPool>,
         wal: Arc<Wal>,
+        catalog: Arc<Catalog>,
         disk: Arc<DiskSmgr>,
         worm_id: SmgrId,
         worm: Arc<WormSmgr>,
@@ -206,7 +211,7 @@ impl Checkpointer {
                 // A checkpoint failure (full disk, I/O error) only delays
                 // horizon advance — durability is unaffected — so count it
                 // and retry next cycle rather than killing the thread.
-                if checkpoint_once(&pool, &wal, &disk, worm_id, &worm).is_err() {
+                if checkpoint_once(&pool, &wal, &catalog, &disk, worm_id, &worm).is_err() {
                     errs.fetch_add(1, Ordering::Relaxed);
                 }
                 if flag.load(Ordering::Acquire) {
@@ -272,12 +277,13 @@ impl StorageEnv {
             },
         ));
         // Open the redo log and replay it before any subsystem that reads
-        // storage state (catalog, commit log). Replay re-applies page
-        // images whose home writes may not have reached disk before a
-        // crash; the clog repair below then re-marks any commit whose WAL
-        // record survived but whose clog line did not. Uncommitted
-        // replayed tuples are filtered by MVCC at read time — unknown
-        // XIDs read as aborted — so redo needs no undo pass.
+        // storage state (commit log). Replay re-applies page images whose
+        // home writes may not have reached disk before a crash, and
+        // catalog changes past the catalog snapshot (which is therefore
+        // opened first); the clog repair below then re-marks any commit
+        // whose WAL record survived but whose clog line did not.
+        // Uncommitted replayed tuples are filtered by MVCC at read time —
+        // unknown XIDs read as aborted — so redo needs no undo pass.
         let wal = Arc::new(
             Wal::open(
                 base_dir.join("wal"),
@@ -299,8 +305,9 @@ impl StorageEnv {
         // manager's records against segment recycling. Checkpoints prune
         // each relation's pin once `has_staged` proves it platter-durable.
         wal.pin_smgr(worm.0 as u32);
+        let catalog = Arc::new(Catalog::open(&base_dir, Arc::clone(&wal))?);
         let mut replayed_commits: Vec<(Xid, CommitTs)> = Vec::new();
-        wal.replay(|_lsn, rec| match rec {
+        wal.replay(|lsn, rec| match rec {
             WalRecord::PageImage { smgr, rel, block, image } => {
                 match switch.get(SmgrId(smgr as u16)) {
                     Ok(mgr) => redo_page_image(&mgr, rel, block, &image),
@@ -323,6 +330,7 @@ impl StorageEnv {
                 },
                 Err(_) => Ok(()),
             },
+            WalRecord::Catalog { body } => catalog.redo(lsn, &body).map_err(std::io::Error::other),
             WalRecord::Checkpoint { .. } => Ok(()),
         })
         .map_err(|e| crate::HeapError::Catalog(format!("wal replay: {e}")))?;
@@ -333,7 +341,6 @@ impl StorageEnv {
             ),
             None => None,
         };
-        let catalog = Catalog::open(&base_dir)?;
         let txns = Arc::new(
             TxnManager::open(base_dir.join("clog"))
                 .map_err(|e| crate::HeapError::Catalog(format!("open commit log: {e}")))?,
@@ -356,6 +363,7 @@ impl StorageEnv {
                 Checkpointer::spawn(
                     Arc::clone(&pool),
                     Arc::clone(&wal),
+                    Arc::clone(&catalog),
                     Arc::clone(&disk_smgr),
                     worm,
                     Arc::clone(&worm_smgr),
@@ -415,15 +423,23 @@ impl StorageEnv {
         }
     }
 
-    /// Take a checkpoint: advance the WAL redo horizon behind the oldest
-    /// dirty page still owing a home write, fsyncing data files first in
-    /// durable mode so the horizon never passes a write the disk hasn't
-    /// accepted, and releasing recycle pins for WORM relations that are
-    /// fully burned. Recovery then replays only from that horizon, and
-    /// older log segments are recycled.
+    /// Take a checkpoint: write the catalog snapshot if the catalog
+    /// changed since the last one, then advance the WAL redo horizon
+    /// behind the oldest dirty page still owing a home write, fsyncing
+    /// data files first in durable mode so the horizon never passes a
+    /// write the disk hasn't accepted, and releasing recycle pins for WORM
+    /// relations that are fully burned. Recovery then replays only from
+    /// that horizon, and older log segments are recycled.
     pub fn checkpoint(&self) -> Result<()> {
-        checkpoint_once(&self.pool, &self.wal, &self.disk_smgr, self.worm, &self.worm_smgr)
-            .map_err(|e| crate::HeapError::Catalog(format!("checkpoint: {e}")))
+        checkpoint_once(
+            &self.pool,
+            &self.wal,
+            &self.catalog,
+            &self.disk_smgr,
+            self.worm,
+            &self.worm_smgr,
+        )
+        .map_err(|e| crate::HeapError::Catalog(format!("checkpoint: {e}")))
     }
 
     /// The shared latch for relation `oid` on storage manager `smgr`.

@@ -291,11 +291,19 @@ impl Parser<'_> {
 /// Serialize pretty-printed (two-space indent, serde_json-compatible).
 pub fn to_string_pretty(v: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, v, 0);
+    write_value(&mut out, v, Some(0));
     out
 }
 
-fn write_value(out: &mut String, v: &Value, indent: usize) {
+/// Serialize with no whitespace at all.
+pub fn to_string(v: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, v, None);
+    out
+}
+
+/// `indent` is the nesting depth when pretty-printing, `None` for compact.
+fn write_value(out: &mut String, v: &Value, indent: Option<usize>) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => {
@@ -319,11 +327,9 @@ fn write_value(out: &mut String, v: &Value, indent: usize) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
-                push_indent(out, indent + 1);
-                write_value(out, item, indent + 1);
+                push_indent(out, indent.map(|d| d + 1));
+                write_value(out, item, indent.map(|d| d + 1));
             }
-            out.push('\n');
             push_indent(out, indent);
             out.push(']');
         }
@@ -337,22 +343,24 @@ fn write_value(out: &mut String, v: &Value, indent: usize) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
-                push_indent(out, indent + 1);
+                push_indent(out, indent.map(|d| d + 1));
                 write_string(out, k);
-                out.push_str(": ");
-                write_value(out, val, indent + 1);
+                out.push_str(if indent.is_some() { ": " } else { ":" });
+                write_value(out, val, indent.map(|d| d + 1));
             }
-            out.push('\n');
             push_indent(out, indent);
             out.push('}');
         }
     }
 }
 
-fn push_indent(out: &mut String, levels: usize) {
-    for _ in 0..levels {
-        out.push_str("  ");
+/// Line break plus `levels` of indentation; nothing when compact.
+fn push_indent(out: &mut String, levels: Option<usize>) {
+    if let Some(levels) = levels {
+        out.push('\n');
+        for _ in 0..levels {
+            out.push_str("  ");
+        }
     }
 }
 
@@ -400,6 +408,9 @@ mod tests {
         ]);
         let text = to_string_pretty(&v);
         assert_eq!(parse(&text).unwrap(), v);
+        let compact = to_string(&v);
+        assert!(!compact.contains(": ") && !compact.contains("\n  "), "{compact}");
+        assert_eq!(parse(&compact).unwrap(), v);
     }
 
     #[test]

@@ -35,6 +35,12 @@ pub type Reply = Result<Vec<u8>, (ErrorCode, String)>;
 /// per touch.
 const CAPTURE_BACKLOG_PAGES: usize = 16;
 
+/// Pages one request must dirty by itself to have them captured right
+/// away, whatever the backlog: a bulk write's pages are not re-dirtied,
+/// so deferring them buys no coalescing, only a longer capture for the
+/// next commit (one 64 KiB write dirties 8 data pages).
+const CAPTURE_BULK_PAGES: usize = 8;
+
 /// The shared server core: one storage stack, many sessions.
 pub struct LobdService {
     env: Arc<StorageEnv>,
@@ -139,6 +145,7 @@ impl LobdService {
         let Some(op) = Opcode::from_u8(tag) else {
             return err_reply(ErrorCode::UnknownOp, format!("unknown opcode {tag:#04x}"));
         };
+        let backlog_before = self.env.pool().capture_backlog();
         let start = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(session, op, payload)))
             .unwrap_or_else(|p| {
@@ -152,13 +159,16 @@ impl LobdService {
         let elapsed = start.elapsed().as_nanos() as u64;
         self.stats.record(op, outcome.is_ok(), elapsed);
         // Amortized redo capture: once enough dirtied pages have
-        // accumulated, drain them into the WAL off the op's critical
-        // path, so a commit never stalls behind a pool-sized batch. The
-        // threshold keeps hot pages (index roots, catalog) coalescing
-        // across requests instead of logging one image per touch; a
-        // failure here is not this request's failure — the commit that
-        // needs those images durable will surface it.
-        if self.env.pool().capture_backlog() >= CAPTURE_BACKLOG_PAGES
+        // accumulated, or this request dirtied a bulk batch, drain them
+        // into the WAL off the op's critical path, so a commit never
+        // stalls behind a pool-sized batch. The threshold keeps hot pages
+        // (index roots, catalog) coalescing across requests instead of
+        // logging one image per touch; a failure here is not this
+        // request's failure — the commit that needs those images durable
+        // will surface it.
+        let backlog = self.env.pool().capture_backlog();
+        if (backlog >= CAPTURE_BACKLOG_PAGES
+            || backlog.saturating_sub(backlog_before) >= CAPTURE_BULK_PAGES)
             && self.env.pool().capture_pending().is_err()
         {
             obs::counter!("server.capture_errors").add(1);

@@ -85,6 +85,8 @@ pub const KIND_COMMIT: u8 = 2;
 pub const KIND_WORM_BURN: u8 = 3;
 /// Checkpoint record tag.
 pub const KIND_CHECKPOINT: u8 = 4;
+/// Catalog change record tag.
+pub const KIND_CATALOG: u8 = 5;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, table-driven, compile-time table — no dependencies)
@@ -186,6 +188,12 @@ pub enum WalRecord {
         /// The redo horizon at checkpoint time.
         redo_lsn: Lsn,
     },
+    /// One catalog change, opaque to the log (the heap crate owns the
+    /// encoding). Replay hands it back verbatim.
+    Catalog {
+        /// The encoded change.
+        body: Vec<u8>,
+    },
 }
 
 impl WalRecord {
@@ -196,6 +204,7 @@ impl WalRecord {
             WalRecord::Commit { .. } => KIND_COMMIT,
             WalRecord::WormBurn { .. } => KIND_WORM_BURN,
             WalRecord::Checkpoint { .. } => KIND_CHECKPOINT,
+            WalRecord::Catalog { .. } => KIND_CATALOG,
         }
     }
 
@@ -204,6 +213,7 @@ impl WalRecord {
             WalRecord::PageImage { .. } => 16 + PAGE_SIZE,
             WalRecord::Commit { .. } | WalRecord::WormBurn { .. } => 16,
             WalRecord::Checkpoint { .. } => 8,
+            WalRecord::Catalog { body } => body.len(),
         }
     }
 
@@ -248,6 +258,7 @@ impl WalRecord {
             WalRecord::Checkpoint { redo_lsn } => {
                 buf.extend_from_slice(&redo_lsn.to_le_bytes());
             }
+            WalRecord::Catalog { body } => buf.extend_from_slice(body),
         }
         PreparedRecord::seal(buf, self.pin())
     }
@@ -349,6 +360,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Option<WalRecord> {
         KIND_CHECKPOINT if payload.len() == 8 => {
             Some(WalRecord::Checkpoint { redo_lsn: read_u64(payload, 0) })
         }
+        KIND_CATALOG => Some(WalRecord::Catalog { body: payload.to_vec() }),
         _ => None,
     }
 }
@@ -700,6 +712,13 @@ impl Wal {
         let result: io::Result<()> = (|| {
             for rec in batch.iter_mut() {
                 let len = rec.total_len();
+                if len > self.opts.segment_bytes {
+                    // Records never span segments, so this one can never fit.
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!("wal: {len}-byte record exceeds the segment size"),
+                    ));
+                }
                 if a.end + len > a.seg_start + self.opts.segment_bytes {
                     if !buf.is_empty() {
                         a.file.write_all_at(&buf, run_start - a.seg_start)?;
@@ -997,20 +1016,37 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let wal = Wal::open(dir.path(), small_opts()).unwrap();
         let r1 = WalRecord::PageImage { smgr: 1, rel: 7, block: 3, image: page(0xAB) };
-        let r2 = WalRecord::Commit { xid: 42, ts: 99 };
+        let r2 = WalRecord::Catalog { body: br#"{"next_oid":1001}"#.to_vec() };
+        let r3 = WalRecord::Commit { xid: 42, ts: 99 };
         let e1 = wal.append(&r1).unwrap();
         let e2 = wal.append(&r2).unwrap();
-        assert!(e2 > e1);
-        wal.flush_to(e2).unwrap();
-        assert_eq!(wal.flushed_lsn(), e2);
+        let e3 = wal.append(&r3).unwrap();
+        assert!(e3 > e2 && e2 > e1);
+        assert_eq!(e2 - e1, r2.encoded_len());
+        wal.flush_to(e3).unwrap();
+        assert_eq!(wal.flushed_lsn(), e3);
         drop(wal);
 
         let wal = Wal::open(dir.path(), small_opts()).unwrap();
-        assert_eq!(wal.end_lsn(), e2);
+        assert_eq!(wal.end_lsn(), e3);
         let recs = collect_replay(&wal);
-        assert_eq!(recs.len(), 2);
+        assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].1, r1);
-        assert_eq!(recs[1].1, r2);
+        assert_eq!(recs[1], (e1, r2));
+        assert_eq!(recs[2].1, r3);
+    }
+
+    #[test]
+    fn record_larger_than_a_segment_is_refused() {
+        let dir = tempfile::tempdir().unwrap();
+        let wal = Wal::open(dir.path(), small_opts()).unwrap();
+        let before = wal.end_lsn();
+        let huge = WalRecord::Catalog { body: vec![b' '; MIN_SEGMENT_BYTES as usize] };
+        assert!(wal.append(&huge).is_err());
+        assert_eq!(wal.end_lsn(), before, "a refused record leaves no trace");
+        let e = wal.append(&WalRecord::Commit { xid: 1, ts: 1 }).unwrap();
+        wal.flush_to(e).unwrap();
+        assert_eq!(collect_replay(&wal).len(), 1);
     }
 
     #[test]

@@ -43,15 +43,16 @@ pub const ENV_REL_LATCHES: LockRank = LockRank::new(14, "heap.env.rel_latches");
 /// whole index operations, i.e. across buffer-pool pins and smgr I/O.
 pub const REL_LATCH: LockRank = LockRank::new(20, "heap.rel_latch");
 
-/// Heap catalog state (`crates/heap`); self-contained: catalog methods
-/// never pin pages or take pool locks while holding it.
-pub const CATALOG: LockRank = LockRank::new(24, "heap.catalog");
+/// Catalog checkpoint writer (`crates/heap`); held across one whole
+/// snapshot (render under [`CATALOG`], log flush, catalog.json write) so
+/// snapshots reach the file in render order. Checkpoint path only:
+/// mutators never take it.
+pub const CATALOG_CHECKPOINT: LockRank = LockRank::new(22, "heap.catalog_checkpoint");
 
-/// Catalog snapshot writer (`crates/heap`); serializes catalog.json
-/// writes *after* the data lock is released, so mutators never hold
-/// `heap.catalog` across file I/O. Versioned: stale snapshots are
-/// skipped, not written out of order.
-pub const CATALOG_PERSIST: LockRank = LockRank::new(25, "heap.catalog_persist");
+/// Heap catalog state (`crates/heap`); never pins pages or takes pool
+/// locks, but mutators append their change to the WAL while holding it
+/// (`wal.append` ranks above).
+pub const CATALOG: LockRank = LockRank::new(24, "heap.catalog");
 
 /// Temporary large-object registry (`crates/core`).
 pub const TEMP_REGISTRY: LockRank = LockRank::new(26, "core.temp_registry");

@@ -129,18 +129,36 @@ fn torn_wal_tail_truncated_at_every_byte() {
         h.write_at(0, &payload).unwrap();
         h.close().unwrap();
         txn.commit();
+        // A catalog change after the commit: the log now ends with a
+        // catalog record that no commit flush covers.
+        env.catalog()
+            .create_class("MARK", pglo::heap::ClassKind::Heap, env.disk_id(), Default::default())
+            .unwrap();
         std::mem::forget(env); // crash: dirty pages never reach home
         id
     };
 
     let seg = 64 * 1024u64;
     let recs = pglo::wal::Wal::scan_records(crash.join("wal"), seg).unwrap();
-    let last = recs.last().expect("log has records").clone();
-    assert_eq!(last.kind, pglo::wal::KIND_COMMIT, "commit record ends the log");
+    // No checkpoint ran, so catalog.json was never written: the object's
+    // catalog entry (and its size) only comes back by replaying catalog
+    // records.
+    assert!(!crash.join("catalog.json").exists());
+    let kinds: Vec<u8> = recs.iter().map(|r| r.kind).collect();
+    assert!(kinds.contains(&pglo::wal::KIND_CATALOG));
+    assert_eq!(
+        kinds[kinds.len() - 2..],
+        [pglo::wal::KIND_COMMIT, pglo::wal::KIND_CATALOG],
+        "the commit record, then the trailing catalog record, end the log"
+    );
+    let (commit, last) = (recs[recs.len() - 2].clone(), recs[recs.len() - 1].clone());
+    assert_eq!(commit.file, last.file, "both tail records share one segment");
     let tail_name = last.file.file_name().unwrap().to_owned();
+    let tail_end = last.offset + u64::from(last.total_len);
 
     let work = tmp.path().join("work");
-    for cut in 0..last.total_len as u64 {
+    // Tear every byte of the commit record and of the catalog record.
+    for cut in commit.offset..tail_end {
         if work.exists() {
             std::fs::remove_dir_all(&work).unwrap();
         }
@@ -149,18 +167,19 @@ fn torn_wal_tail_truncated_at_every_byte() {
             .write(true)
             .open(work.join("wal").join(&tail_name))
             .unwrap();
-        f.set_len(last.offset + cut).unwrap();
+        f.set_len(cut).unwrap();
         drop(f);
 
         let env = StorageEnv::open_with(&work, crash_opts()).unwrap();
         // Recovery never invented a record past the tear…
         for r in pglo::wal::Wal::scan_records(work.join("wal"), seg).unwrap() {
             assert!(
-                r.lsn < last.lsn || r.lsn >= last.lsn + u64::from(last.total_len),
+                r.file != last.file || r.offset + u64::from(r.total_len) <= cut,
                 "cut {cut}: partial record replayed at lsn {}",
                 r.lsn
             );
         }
+        assert!(env.catalog().get("MARK").is_none(), "cut {cut}: torn catalog record applied");
         // …the page images before the commit record replayed fine, and
         // the database still works: a new transaction commits and reads.
         let store = LoStore::new(Arc::clone(&env));
@@ -364,4 +383,150 @@ fn staged_worm_blocks_pin_checkpoint_and_survive_crash() {
     let rows: Vec<Vec<u8>> = heap.scan(Visibility::for_txn(&txn)).map(|r| r.unwrap().1).collect();
     assert_eq!(rows.len(), 20);
     assert!(rows.iter().any(|r| r == b"staged row 13"));
+}
+
+/// The bytes the `k`-th extending commit appends. Longer than one f-chunk
+/// chunk, so every extension crosses a chunk boundary.
+fn piece(k: usize) -> Vec<u8> {
+    (0..9_000usize).map(|i| ((i * 7 + k * 13) % 251) as u8).collect()
+}
+
+/// Create an f-chunk and a v-segment object, then extend both in
+/// `rounds` separate commits, taking a checkpoint after the commit
+/// numbered `checkpoint_after`. Returns the ids and the expected contents.
+fn extend_across_commits(
+    env: &Arc<StorageEnv>,
+    rounds: usize,
+    checkpoint_after: Option<usize>,
+) -> ([LoId; 2], Vec<u8>) {
+    let store = LoStore::new(Arc::clone(env));
+    let txn = env.begin();
+    let ids = [
+        store.create(&txn, &LoSpec::fchunk()).unwrap(),
+        store.create(&txn, &LoSpec::vsegment(CodecKind::None)).unwrap(),
+    ];
+    txn.commit();
+    let mut want = Vec::new();
+    for k in 0..rounds {
+        let txn = env.begin();
+        for id in ids {
+            let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+            h.seek(std::io::SeekFrom::End(0)).unwrap();
+            h.write(&piece(k)).unwrap();
+            h.close().unwrap();
+        }
+        txn.commit();
+        want.extend(piece(k));
+        if checkpoint_after == Some(k) {
+            env.pool().flush_all().unwrap();
+            let end = env.wal().end_lsn();
+            env.checkpoint().unwrap();
+            assert!(env.wal().redo_lsn() >= end, "the horizon passed the older catalog records");
+        }
+    }
+    (ids, want)
+}
+
+/// Both objects read back exactly `want` under a fresh snapshot.
+fn assert_objects(env: &Arc<StorageEnv>, ids: [LoId; 2], want: &[u8]) {
+    let store = LoStore::new(Arc::clone(env));
+    let txn = env.begin();
+    for id in ids {
+        let mut h = store.open(&txn, id, OpenMode::ReadOnly).unwrap();
+        assert_eq!(h.size().unwrap(), want.len() as u64, "{id}: size");
+        assert_eq!(h.read_to_vec().unwrap(), want, "{id}: bytes");
+    }
+}
+
+/// Size metadata of objects extended across several commits lives only
+/// in catalog records in the log (no checkpoint ever wrote catalog.json);
+/// a crash must bring back every size and every byte.
+#[test]
+fn extended_objects_survive_crash_from_catalog_records() {
+    let tmp = tempfile::tempdir().unwrap();
+    let (ids, want) = {
+        let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
+        let out = extend_across_commits(&env, 6, None);
+        assert!(!tmp.path().join("catalog.json").exists());
+        std::mem::forget(env);
+        out
+    };
+    let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
+    assert_objects(&env, ids, &want);
+}
+
+/// A checkpoint mid-way writes catalog.json and moves the redo horizon
+/// to its LSN; the extensions after it must replay on top of the
+/// snapshot.
+#[test]
+fn extended_objects_survive_crash_after_catalog_checkpoint() {
+    let tmp = tempfile::tempdir().unwrap();
+    let (ids, want) = {
+        let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
+        let out = extend_across_commits(&env, 6, Some(2));
+        assert!(tmp.path().join("catalog.json").exists());
+        std::mem::forget(env);
+        out
+    };
+    let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
+    assert_objects(&env, ids, &want);
+}
+
+/// An extension that was flushed (so the catalog holds its larger size)
+/// and then aborted must not show after a crash: the size's writer is
+/// not visible, so the open recomputes it from committed data.
+#[test]
+fn aborted_extension_stays_invisible_after_crash() {
+    let tmp = tempfile::tempdir().unwrap();
+    let (ids, want) = {
+        let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
+        let out = extend_across_commits(&env, 2, None);
+        let store = LoStore::new(Arc::clone(&env));
+        let txn = env.begin();
+        for id in out.0 {
+            let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+            h.seek(std::io::SeekFrom::End(0)).unwrap();
+            h.write(&[0xEE; 20_000]).unwrap();
+            h.flush().unwrap();
+            h.close().unwrap();
+        }
+        txn.abort();
+        std::mem::forget(env);
+        out
+    };
+    let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
+    let store = LoStore::new(Arc::clone(&env));
+    for id in ids {
+        // The aborted size did come back from the log…
+        assert_eq!(store.meta(id).unwrap().size, want.len() as u64 + 20_000);
+    }
+    // …but only committed bytes show.
+    assert_objects(&env, ids, &want);
+}
+
+/// Size-extending writes never rewrite catalog.json: only a checkpoint
+/// does, and then it holds the new size.
+#[test]
+fn extending_writes_leave_catalog_snapshot_untouched_until_checkpoint() {
+    let tmp = tempfile::tempdir().unwrap();
+    let env = StorageEnv::open_with(tmp.path(), crash_opts()).unwrap();
+    let store = LoStore::new(Arc::clone(&env));
+    let txn = env.begin();
+    let id = store.create(&txn, &LoSpec::fchunk()).unwrap();
+    txn.commit();
+    env.checkpoint().unwrap();
+    let file = tmp.path().join("catalog.json");
+    let snapshot = std::fs::read(&file).unwrap();
+    for _ in 0..100 {
+        let txn = env.begin();
+        let mut h = store.open(&txn, id, OpenMode::ReadWrite).unwrap();
+        h.seek(std::io::SeekFrom::End(0)).unwrap();
+        h.write(&[7u8; 1000]).unwrap();
+        h.close().unwrap();
+        txn.commit();
+    }
+    assert_eq!(std::fs::read(&file).unwrap(), snapshot, "catalog.json was rewritten");
+    env.checkpoint().unwrap();
+    let text = std::fs::read_to_string(&file).unwrap();
+    assert!(text.contains(r#""size": "100000""#), "{text}");
 }
